@@ -57,10 +57,10 @@ fn main() {
         });
     }
 
-    // Old vs new greedy kernel over the *same* contact table: the
-    // slice-based reference vs the chunked key-aligned SoA lanes (the
-    // scale sweep E20 measures this at n up to 10⁷; here it rides the
-    // perf trajectory at bench scale). Identical hop sequences.
+    // The two greedy kernels over the *same* contact table, one route
+    // at a time: the slice-based reference vs the interleaved kernel at
+    // width 1 (what `Overlay::route` runs on a table-backed network; E25
+    // sweeps the width at n up to 10⁷). Identical hop sequences.
     {
         let mut wrng = Rng::new(99);
         let workload = survey_queries(
@@ -81,13 +81,17 @@ fn main() {
             }
             black_box(hops)
         });
-        b.bench_with_items(&format!("kernel/soa/{n}"), queries as f64, || {
-            let mut hops = 0u64;
-            for &(from, t) in &workload {
-                hops += sw_overlay::greedy_route_on(p, table, from, t, &opts).hops as u64;
-            }
-            black_box(hops)
-        });
+        b.bench_with_items(
+            &format!("kernel/interleaved-k1/{n}"),
+            queries as f64,
+            || {
+                let mut hops = 0u64;
+                for &q in &workload {
+                    hops += sw_overlay::route_interleaved(p, table, &[q], &opts, 1)[0].hops as u64;
+                }
+                black_box(hops)
+            },
+        );
     }
 
     for (name, mode) in [

@@ -12,8 +12,8 @@ use sw_graph::{LinkTable, NodeId};
 use sw_keyspace::distribution::KeyDistribution;
 use sw_keyspace::{Key, Rng, Topology};
 use sw_overlay::route::{RouteOptions, RouteResult, RoutingSurvey, TargetModel};
-use sw_overlay::soa::{greedy_route_on, KernelTier, RouteTable};
-use sw_overlay::{Overlay, Placement};
+use sw_overlay::soa::RouteTable;
+use sw_overlay::{route_interleaved, Overlay, Placement, DEFAULT_INTERLEAVE};
 
 /// File holding the frozen contact CSR + per-edge ring-position lane +
 /// per-node keys inside a [`SmallWorldNetwork::freeze_to`] directory.
@@ -27,9 +27,9 @@ pub(crate) const LONG_FILE: &str = "long.swt";
 ///
 /// The full contact table (neighbour edges + long links, the rows greedy
 /// routing reads) lives in a key-aligned SoA
-/// [`RouteTable`](sw_overlay::RouteTable): one flat CSR plus a per-edge
+/// [`RouteTable`]: one flat CSR plus a per-edge
 /// ring-position lane, built once during construction and scanned by the
-/// chunked greedy kernels. A freshly built network keeps it on the heap;
+/// interleaved greedy kernel. A freshly built network keeps it on the heap;
 /// [`SmallWorldNetwork::open_from`] reopens a frozen network with the
 /// table backed by a flat file arena instead — same routing code, and
 /// the whole routing table loads as one allocation (or an mmap). The long-link CSR is kept separately (with its
@@ -473,38 +473,34 @@ impl Overlay for SmallWorldNetwork {
         self.contact_csr()
     }
 
-    /// Routes through whichever greedy kernel wins at this network's
-    /// size (the two are bit-identical, so this is pure perf policy —
-    /// see [`RouteTable::prefers_soa`]): the chunked SoA lanes for
-    /// arena-backed or ≥10⁶-peer tables, the slice-based reference
-    /// while the key array is still cache-resident.
+    /// Routes one lookup through the interleaved kernel as a
+    /// one-element chunk at width 1 — bit-identical to
+    /// [`sw_overlay::greedy_route`] over [`Overlay::topology`], on heap
+    /// and arena tables alike.
     fn route(&self, from: NodeId, target: Key, opts: &RouteOptions) -> RouteResult {
-        if self.route_table.prefers_soa() {
-            greedy_route_on(&self.placement, &self.route_table, from, target, opts)
-        } else {
-            sw_overlay::greedy_route(&self.placement, self.contact_csr(), from, target, opts)
-        }
+        route_interleaved(
+            &self.placement,
+            &self.route_table,
+            &[(from, target)],
+            opts,
+            1,
+        )
+        .pop()
+        .expect("one query, one result")
     }
 
-    /// Batched tier dispatch ([`RouteTable::kernel_tier`]): chunks wide
-    /// enough to fill the AMAC pipeline route through the interleaved
-    /// kernel, narrower ones fall back to the per-route policy above.
-    /// All tiers are bit-identical, so `route_batch` results do not
-    /// depend on how the workload was chunked.
+    /// Routes the chunk through the interleaved kernel with
+    /// [`DEFAULT_INTERLEAVE`] walks in flight. Bit-identical to looping
+    /// [`Overlay::route`], so `route_batch` results do not depend on how
+    /// the workload was chunked.
     fn route_chunk(&self, queries: &[(NodeId, Key)], opts: &RouteOptions) -> Vec<RouteResult> {
-        match self.route_table.kernel_tier(queries.len()) {
-            KernelTier::Interleaved => sw_overlay::route_interleaved(
-                &self.placement,
-                &self.route_table,
-                queries,
-                opts,
-                sw_overlay::DEFAULT_INTERLEAVE,
-            ),
-            _ => queries
-                .iter()
-                .map(|&(from, target)| self.route(from, target, opts))
-                .collect(),
-        }
+        route_interleaved(
+            &self.placement,
+            &self.route_table,
+            queries,
+            opts,
+            DEFAULT_INTERLEAVE,
+        )
     }
 }
 
@@ -654,38 +650,64 @@ mod tests {
     }
 
     #[test]
-    fn route_chunk_interleaved_tier_matches_looped_routes() {
-        use sw_overlay::route::{route_batch, RouteOptions};
+    fn every_entry_point_matches_reference_loop_on_heap_and_arena() {
+        use sw_overlay::route::route_batch;
+        let n = 384;
         let mut rng = Rng::new(47);
-        let net = SmallWorldBuilder::new(384).build(&mut rng).unwrap();
-        let dir = std::env::temp_dir().join("sw-core-interleave-tier-test");
+        let net = SmallWorldBuilder::new(n)
+            .distribution(Box::new(
+                sw_keyspace::distribution::TruncatedPareto::new(1.5, 0.02).unwrap(),
+            ))
+            .build(&mut rng)
+            .unwrap();
+        let dir = std::env::temp_dir().join("sw-core-interleave-entry-test");
         net.freeze_to(&dir).unwrap();
-        // Arena-backed reopen → prefers_soa → wide chunks hit the
-        // interleaved tier.
         let reopened =
             SmallWorldNetwork::open_from(&dir, *net.config(), net.assumed().clone()).unwrap();
-        assert_eq!(
-            reopened.route_table().kernel_tier(256),
-            sw_overlay::KernelTier::Interleaved
-        );
+        assert!(matches!(
+            &**net.route_table().store(),
+            TopologyStore::Heap { .. }
+        ));
+        assert!(matches!(
+            &**reopened.route_table().store(),
+            TopologyStore::Arena(_)
+        ));
         let workload = sw_overlay::route::survey_queries(
             net.placement(),
-            256,
+            300,
             TargetModel::MemberKeys,
             &mut rng,
         );
-        let opts = RouteOptions::for_n(384);
-        let looped: Vec<_> = workload
-            .iter()
-            .map(|&(from, t)| reopened.route(from, t, &opts))
-            .collect();
-        assert_eq!(reopened.route_chunk(&workload, &opts), looped);
-        for threads in [1, 3] {
-            assert_eq!(route_batch(&reopened, &workload, &opts, threads), looped);
+        for record_path in [true, false] {
+            let opts = RouteOptions {
+                record_path,
+                ..RouteOptions::for_n(n)
+            };
+            let want: Vec<RouteResult> = workload
+                .iter()
+                .map(|&(from, t)| {
+                    sw_overlay::greedy_route(net.placement(), net.topology(), from, t, &opts)
+                })
+                .collect();
+            for o in [&net, &reopened] {
+                let singles: Vec<RouteResult> = workload
+                    .iter()
+                    .map(|&(from, t)| o.route(from, t, &opts))
+                    .collect();
+                assert_eq!(singles, want, "route, record_path={record_path}");
+                for len in [0, 1, 7, 8, 300] {
+                    let (chunk, want) = (&workload[..len], &want[..len]);
+                    assert_eq!(o.route_chunk(chunk, &opts), want, "route_chunk len={len}");
+                    for threads in [1, 2, 4] {
+                        assert_eq!(
+                            route_batch(o, chunk, &opts, threads),
+                            want,
+                            "route_batch len={len} threads={threads}"
+                        );
+                    }
+                }
+            }
         }
-        // The heap-backed original takes the non-interleaved arm and
-        // must agree too.
-        assert_eq!(net.route_chunk(&workload, &opts), looped);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -26,8 +26,7 @@
 //!
 //! The framework lives in [`placement`], [`route`], [`soa`],
 //! [`interleaved`] and [`degraded`]; `route`'s module docs tell the
-//! three-tier kernel story (slice reference → chunked SoA →
-//! interleaved AMAC batches).
+//! two-kernel story (slice reference → interleaved AMAC batches).
 
 pub mod chord;
 pub mod degraded;
@@ -46,7 +45,7 @@ pub use route::{
     greedy_candidates, greedy_candidates_into, greedy_candidates_soa, greedy_route, greedy_step,
     greedy_step_soa, Overlay, RingView, RouteOptions, RouteResult, RoutingSurvey,
 };
-pub use soa::{greedy_route_batch_on, greedy_route_on, KernelTier, RouteTable};
+pub use soa::{KernelTier, RouteTable};
 
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {

@@ -12,53 +12,40 @@
 //! independent lookups across threads — the batched path that feeds
 //! [`RoutingSurvey`] and the experiment harness.
 //!
-//! # Three kernel tiers, one semantics
+//! # Two kernels, one semantics
 //!
-//! Greedy routing exists in three implementations that must be (and are
-//! tested to be) **bit-identical**, each owning a different regime:
+//! Greedy routing exists in two implementations that must be (and are
+//! tested to be) **bit-identical**:
 //!
-//! 1. the **slice-based reference** — [`greedy_step`] /
-//!    [`greedy_candidates`] over `(id, key)` pairs, used by [`RingView`]
-//!    (dynamic protocols route over borrowed per-peer views that mutate
-//!    under churn, so there is nothing contiguous to scan), and kept as
-//!    the readable spec of the tie-break rule: *strict* improvement over
-//!    the running best, earliest candidate wins exact distance ties.
-//!    While the key array is cache-resident (below the
-//!    [`kernel_crossover`](crate::soa::kernel_crossover), default
-//!    `2²⁰` peers, overridable via `SW_KERNEL_CROSSOVER`), its gathers
-//!    are cheap and it wins outright.
-//! 2. the **chunked SoA kernel** — [`greedy_step_soa`] /
-//!    [`greedy_candidates_soa`], scanning the key-aligned per-edge
-//!    position lanes of a [`RouteTable`](crate::soa::RouteTable) in
-//!    fixed-width [`LANES`]-wide chunks (constant-trip-count inner
-//!    loops, no bounds checks, distance arithmetic branch-free on the
-//!    data), with the strict-`<` left-to-right fold preserving the
-//!    reference tie-break exactly. Above the crossover a hop touches one
-//!    or two *sequential* cache lines instead of gathering
-//!    `placement.key(v)` per candidate (measured in E20's old-vs-new
-//!    sweep). This is the tier for *single* routes over big tables —
-//!    each hop still pays full DRAM latency for its row.
-//! 3. the **interleaved AMAC kernel** —
-//!    [`route_interleaved`](crate::interleaved::route_interleaved),
-//!    which takes a *batch* of independent walks and keeps
-//!    `K` ≈ [`DEFAULT_INTERLEAVE`](crate::interleaved::DEFAULT_INTERLEAVE)
-//!    of them in flight per thread as explicit state machines,
-//!    software-prefetching each walk's next offset pair / edge row /
-//!    position lane one round ahead so dependent misses overlap
-//!    (memory-*bandwidth*-bound instead of latency-bound). Per-hop
-//!    decisions go through the same [`greedy_step_soa`], so this tier is
-//!    the batched form of tier 2, not a fourth semantics. E25 sweeps the
-//!    interleave width and measures the win at 10⁷ peers.
+//! 1. the **slice-based reference** — [`greedy_route`] over
+//!    [`greedy_step`] / [`greedy_candidates`] on `(id, key)` pairs. It
+//!    is the readable spec of the tie-break rule: *strict* improvement
+//!    over the running best, earliest candidate wins exact distance
+//!    ties. It is the default [`Overlay::route`] of every overlay
+//!    without a [`RouteTable`](crate::soa::RouteTable), and
+//!    [`RingView`] uses it for the dynamic protocols, which route over
+//!    borrowed per-peer views that mutate under churn and so have
+//!    nothing contiguous to scan.
+//! 2. the **interleaved AMAC kernel** —
+//!    [`route_interleaved`](crate::interleaved::route_interleaved). It
+//!    takes a batch of independent walks over a
+//!    [`RouteTable`](crate::soa::RouteTable)'s key-aligned per-edge
+//!    position lanes and keeps up to `width` of them in flight per
+//!    thread as explicit state machines. Each walk's next offset pair,
+//!    edge row and position lane are software-prefetched one round
+//!    ahead, so dependent DRAM misses overlap. Each hop's decision is
+//!    [`greedy_step_soa`], a fixed-width [`LANES`]-wide scan of the row's
+//!    lane whose strict-`<` left-to-right fold keeps the reference
+//!    tie-break exactly. E25 sweeps the width.
 //!
-//! Dispatch: [`Overlay::route`] picks tier 1 or 2 per route
-//! ([`RouteTable::prefers_soa`](crate::soa::RouteTable::prefers_soa));
-//! [`Overlay::route_chunk`] — which [`route_batch`] feeds one contiguous
-//! chunk per worker thread — lets an overlay escalate wide chunks to
-//! tier 3 ([`RouteTable::kernel_tier`](crate::soa::RouteTable::kernel_tier)
-//! is the policy). [`crate::soa::greedy_route_on`] debug-asserts
-//! tier-1/tier-2 agreement on every hop, the interleaved kernel
-//! debug-asserts its carried distances against the placement, and the
-//! equivalence proptest drives all three tiers over the same workloads.
+//! Dispatch: a table-backed overlay sends every lookup through the
+//! interleaved kernel. [`Overlay::route_chunk`], which [`route_batch`]
+//! feeds one contiguous chunk per worker thread, runs the chunk at
+//! [`DEFAULT_INTERLEAVE`](crate::interleaved::DEFAULT_INTERLEAVE) walks
+//! in flight, and a single [`Overlay::route`] is a one-element chunk at
+//! width 1. The interleaved kernel debug-asserts its carried distances
+//! against the placement, and the equivalence proptests drive it
+//! against [`greedy_route`] over the same workloads.
 
 use crate::placement::Placement;
 use sw_graph::csr::Topology as CsrTopology;
@@ -130,8 +117,8 @@ pub trait Overlay: Sync {
     /// Routes a contiguous chunk of independent queries — the unit
     /// [`route_batch`] hands each worker thread. The default loops
     /// [`Overlay::route`]; overlays backed by a
-    /// [`RouteTable`](crate::soa::RouteTable) override this to escalate
-    /// wide chunks to the interleaved AMAC kernel. Overrides must stay
+    /// [`RouteTable`](crate::soa::RouteTable) override this to route
+    /// the chunk through the interleaved AMAC kernel. Overrides must stay
     /// bit-identical to the default (the contract [`route_batch`]'s
     /// determinism rests on).
     fn route_chunk(&self, queries: &[(NodeId, Key)], opts: &RouteOptions) -> Vec<RouteResult> {

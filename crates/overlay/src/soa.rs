@@ -5,68 +5,33 @@
 //! to its CSR edge row. A greedy hop then scans one contiguous `f64`
 //! slice (`pos[offsets[u]..offsets[u+1]]`) — one or two sequential
 //! cache lines — instead of gathering `placement.key(v)` per contact
-//! through a random-access key array. The fixed-width chunked kernels in
-//! [`crate::route`] do the scan with constant-trip-count, bounds-check-free
-//! inner loops; the layout is what wins once the key array outgrows the
-//! cache (E20 measures the crossover).
+//! through a random-access key array. The interleaved kernel
+//! ([`crate::interleaved::route_interleaved`]) is the one router over
+//! these lanes.
 //!
 //! The table is a thin `Arc` handle over a
-//! [`TopologyStore`](sw_graph::TopologyStore), so the same frozen lanes
+//! [`TopologyStore`], so the same frozen lanes
 //! are shared (not copied) between the static router, the simulator's
 //! probe snapshots and the experiment harness, and a table reopened from
 //! a frozen arena (`freeze_to` → `open_from`) routes through exactly the
 //! code a freshly built one does.
-//!
-//! The slice-based scalar path ([`crate::route::greedy_step`] over
-//! `(id, key)` pairs) remains the *reference implementation*: the
-//! chunked kernels are bit-identical to it by construction, and
-//! [`greedy_route_on`] debug-asserts that equivalence on every hop.
 
-use crate::placement::Placement;
-use crate::route::{
-    finish_route, greedy_candidates_soa, greedy_step, greedy_step_soa, RouteOptions, RouteResult,
-};
+use crate::route::{greedy_candidates_soa, greedy_step_soa};
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use sw_graph::{NodeId, Topology as CsrTopology, TopologyStore};
 use sw_keyspace::Key;
 
-/// Peer count above which a heap-backed [`RouteTable`] prefers the SoA
-/// kernel (see [`RouteTable::prefers_soa`] for the measured rationale).
-/// The default; override per process with `SW_KERNEL_CROSSOVER` (see
-/// [`kernel_crossover`]).
-pub const SOA_KERNEL_MIN_PEERS: usize = 1 << 20;
-
-/// The effective reference→SoA crossover: [`SOA_KERNEL_MIN_PEERS`]
-/// unless the `SW_KERNEL_CROSSOVER` environment variable holds a valid
-/// peer count (`0` forces the SoA tiers everywhere, a huge value pins
-/// the reference kernel). Read once and cached — the experiment harness
-/// sets it before the first route to re-measure the crossover without
-/// recompiling.
-pub fn kernel_crossover() -> usize {
-    static CROSSOVER: OnceLock<usize> = OnceLock::new();
-    *CROSSOVER.get_or_init(|| parse_crossover(std::env::var("SW_KERNEL_CROSSOVER").ok().as_deref()))
-}
-
-/// Pure parse of an `SW_KERNEL_CROSSOVER` value, separated from the env
-/// and cache plumbing so it is testable without process-global state:
-/// a base-10 peer count, with `_` separators allowed; anything else
-/// falls back to [`SOA_KERNEL_MIN_PEERS`].
-pub fn parse_crossover(raw: Option<&str>) -> usize {
-    raw.and_then(|s| s.trim().replace('_', "").parse::<usize>().ok())
-        .unwrap_or(SOA_KERNEL_MIN_PEERS)
-}
-
-/// Which of the three routing kernels a dispatch decision picked — the
-/// `kernel_used` stamp E20/E25 write on every benchmark row.
+/// Which routing kernel serves a batch — the tier code the benchmark
+/// reports. [`RouteTable::kernel_tier`] only returns
+/// [`KernelTier::Interleaved`]; the other two variants stay because the
+/// benchmark's tier codes match on them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelTier {
-    /// Slice-based scalar reference ([`crate::route::greedy_route`]):
-    /// cache-resident key array, gathers win.
+    /// Slice-based scalar reference ([`crate::route::greedy_route`]).
     Reference,
-    /// Chunked SoA lane scan ([`greedy_route_on`]): one route at a
-    /// time over contiguous position lanes.
+    /// One route at a time over the position lanes (no longer a kernel).
     Soa,
     /// AMAC interleaved batch kernel
     /// ([`crate::interleaved::route_interleaved`]): K walks in flight,
@@ -138,35 +103,12 @@ impl RouteTable {
         &self.store
     }
 
-    /// True when routing through this table's SoA lanes is the right
-    /// default for its backing store and size.
-    ///
-    /// The two kernels are bit-identical, so this is purely a
-    /// performance policy. E20's old-vs-new sweep measures a crossover:
-    /// below ~10⁶ peers the key array is cache-resident and the slice
-    /// reference's gathers win (kernel_speedup ≈ 0.5 at 10⁵), above it
-    /// the contiguous lanes win (1.1–1.6× at 10⁶–10⁷). Arena-backed
-    /// tables always prefer the SoA path — falling back to the
-    /// reference there would force materializing a heap CSR first.
-    pub fn prefers_soa(&self) -> bool {
-        matches!(&*self.store, TopologyStore::Arena(_)) || self.len() >= kernel_crossover()
-    }
-
-    /// Which kernel tier serves a batch of `batch` independent lookups
-    /// over this table. Below the crossover the cache-resident slice
-    /// reference wins regardless of batch shape; above it, a batch of
-    /// at least [`DEFAULT_INTERLEAVE`](crate::interleaved::DEFAULT_INTERLEAVE)
-    /// walks is enough to fill the AMAC pipeline, and smaller batches
-    /// route one at a time through the chunked SoA kernel. All three
-    /// tiers are bit-identical; this is purely a throughput policy.
-    pub fn kernel_tier(&self, batch: usize) -> KernelTier {
-        if !self.prefers_soa() {
-            KernelTier::Reference
-        } else if batch >= crate::interleaved::DEFAULT_INTERLEAVE {
-            KernelTier::Interleaved
-        } else {
-            KernelTier::Soa
-        }
+    /// Which kernel tier serves a batch of `batch` lookups over this
+    /// table: always [`KernelTier::Interleaved`], on heap and arena
+    /// tables alike and at every batch width (a single lookup is a
+    /// width-1 pipeline).
+    pub fn kernel_tier(&self, _batch: usize) -> KernelTier {
+        KernelTier::Interleaved
     }
 
     /// Number of peers.
@@ -250,97 +192,12 @@ impl RouteTable {
     }
 }
 
-/// Greedy route over a [`RouteTable`] — the chunked SoA twin of
-/// [`crate::route::greedy_route`], and bit-identical to it hop for hop
-/// (debug-asserted against the slice-based reference on every step; the
-/// assertion compiles out of release builds).
-pub fn greedy_route_on(
-    placement: &Placement,
-    table: &RouteTable,
-    from: NodeId,
-    target: Key,
-    opts: &RouteOptions,
-) -> RouteResult {
-    let metric = placement.topology();
-    let goal = placement.nearest(target);
-    // Hoist the flat arrays out of the store once: the hop loop indexes
-    // raw slices with zero backend dispatch.
-    let store = table.store();
-    let offsets = store.offsets();
-    let edges = store.edges();
-    let pos = store.edge_pos().expect("route table carries lanes");
-    let mut cur = from;
-    let mut hops = 0u32;
-    let mut path = Vec::new();
-    if opts.record_path {
-        path.push(cur);
-    }
-    while cur != goal {
-        if hops >= opts.max_hops {
-            return finish_route(false, hops, path, from, cur, opts);
-        }
-        let cur_d = placement.distance_to(cur, target);
-        let (a, b) = (
-            offsets[cur as usize] as usize,
-            offsets[cur as usize + 1] as usize,
-        );
-        let step = greedy_step_soa(metric, target, cur_d, &edges[a..b], &pos[a..b]);
-        debug_assert_eq!(
-            step,
-            {
-                let (ids, _) = table.row(cur);
-                greedy_step(
-                    metric,
-                    target,
-                    cur_d,
-                    ids.iter().map(|&v| (v, placement.key(v))),
-                )
-            },
-            "chunked kernel must agree with the slice reference at node {cur}"
-        );
-        let Some((best, _)) = step else {
-            return finish_route(false, hops, path, from, cur, opts);
-        };
-        cur = best;
-        hops += 1;
-        if opts.record_path {
-            path.push(cur);
-        }
-    }
-    finish_route(true, hops, path, from, cur, opts)
-}
-
-/// Batched greedy routing over a [`RouteTable`], dispatching each batch
-/// to its [`KernelTier`]: a batch wide enough to fill the AMAC pipeline
-/// goes through [`crate::interleaved::route_interleaved`] with the
-/// default interleave width, narrower batches loop [`greedy_route_on`].
-/// Results are in input order and bit-identical either way.
-pub fn greedy_route_batch_on(
-    placement: &Placement,
-    table: &RouteTable,
-    queries: &[(NodeId, Key)],
-    opts: &RouteOptions,
-) -> Vec<RouteResult> {
-    if queries.len() >= crate::interleaved::DEFAULT_INTERLEAVE {
-        crate::interleaved::route_interleaved(
-            placement,
-            table,
-            queries,
-            opts,
-            crate::interleaved::DEFAULT_INTERLEAVE,
-        )
-    } else {
-        queries
-            .iter()
-            .map(|&(from, t)| greedy_route_on(placement, table, from, t, opts))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::{greedy_route, survey_queries, Overlay, TargetModel};
+    use crate::interleaved::{route_interleaved, DEFAULT_INTERLEAVE};
+    use crate::placement::Placement;
+    use crate::route::{greedy_route, survey_queries, Overlay, RouteOptions, TargetModel};
     use crate::symphony::Symphony;
     use sw_keyspace::distribution::{TruncatedPareto, Uniform};
     use sw_keyspace::{Rng, Topology};
@@ -387,10 +244,10 @@ mod tests {
             let t = table_of(&o);
             let queries = survey_queries(o.placement(), 400, TargetModel::MemberKeys, &mut rng);
             let opts = RouteOptions::for_n(512);
-            for (from, target) in queries {
+            for &(from, target) in &queries {
                 let a = greedy_route(o.placement(), o.topology(), from, target, &opts);
-                let b = greedy_route_on(o.placement(), &t, from, target, &opts);
-                assert_eq!(a, b, "hop sequences must be bit-identical");
+                let b = route_interleaved(o.placement(), &t, &[(from, target)], &opts, 1);
+                assert_eq!([a], &b[..], "hop sequences must be bit-identical");
             }
         }
     }
@@ -410,11 +267,16 @@ mod tests {
         let mut rng = Rng::new(4);
         let queries = survey_queries(o.placement(), 200, TargetModel::MemberKeys, &mut rng);
         let opts = RouteOptions::for_n(256);
-        for (from, target) in queries {
-            let a = greedy_route_on(o.placement(), &t, from, target, &opts);
-            let b = greedy_route_on(o.placement(), &reopened, from, target, &opts);
-            assert_eq!(a, b);
-        }
+        assert_eq!(
+            route_interleaved(o.placement(), &t, &queries, &opts, DEFAULT_INTERLEAVE),
+            route_interleaved(
+                o.placement(),
+                &reopened,
+                &queries,
+                &opts,
+                DEFAULT_INTERLEAVE
+            )
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -438,61 +300,20 @@ mod tests {
     }
 
     #[test]
-    fn crossover_parse_accepts_counts_and_falls_back() {
-        assert_eq!(parse_crossover(None), SOA_KERNEL_MIN_PEERS);
-        assert_eq!(parse_crossover(Some("0")), 0);
-        assert_eq!(parse_crossover(Some(" 65536 ")), 65536);
-        assert_eq!(parse_crossover(Some("1_000_000")), 1_000_000);
-        assert_eq!(parse_crossover(Some("")), SOA_KERNEL_MIN_PEERS);
-        assert_eq!(parse_crossover(Some("1<<20")), SOA_KERNEL_MIN_PEERS);
-        assert_eq!(parse_crossover(Some("-5")), SOA_KERNEL_MIN_PEERS);
-    }
-
-    #[test]
-    fn kernel_tier_policy() {
-        use crate::interleaved::DEFAULT_INTERLEAVE;
-        // Small heap table: reference no matter the batch size.
+    fn kernel_tier_is_interleaved_on_heap_and_arena() {
         let o = symphony(64, 6);
-        let t = table_of(&o);
-        assert_eq!(t.kernel_tier(1), KernelTier::Reference);
-        assert_eq!(t.kernel_tier(10_000), KernelTier::Reference);
-        assert_eq!(KernelTier::Reference.label(), "reference");
-        // Arena-backed: always an SoA tier; the batch width picks which.
+        let heap = table_of(&o);
         let dir = std::env::temp_dir().join("sw-overlay-tier-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tier.swt");
-        t.freeze_to(&path, None).unwrap();
+        heap.freeze_to(&path, None).unwrap();
         let arena = RouteTable::open_from(&path).unwrap();
-        assert_eq!(arena.kernel_tier(1), KernelTier::Soa);
-        assert_eq!(arena.kernel_tier(DEFAULT_INTERLEAVE - 1), KernelTier::Soa);
-        assert_eq!(
-            arena.kernel_tier(DEFAULT_INTERLEAVE),
-            KernelTier::Interleaved
-        );
-        assert_eq!(KernelTier::Soa.label(), "soa");
+        for t in [&heap, &arena] {
+            for batch in [0, 1, DEFAULT_INTERLEAVE - 1, DEFAULT_INTERLEAVE, 10_000] {
+                assert_eq!(t.kernel_tier(batch), KernelTier::Interleaved);
+            }
+        }
         assert_eq!(KernelTier::Interleaved.label(), "interleaved");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn batched_entry_matches_looped_for_both_dispatch_arms() {
-        let o = symphony(256, 12);
-        let t = table_of(&o);
-        let mut rng = Rng::new(3);
-        let queries = survey_queries(o.placement(), 100, TargetModel::MemberKeys, &mut rng);
-        let opts = RouteOptions::for_n(256);
-        let looped: Vec<RouteResult> = queries
-            .iter()
-            .map(|&(from, tg)| greedy_route_on(o.placement(), &t, from, tg, &opts))
-            .collect();
-        // Wide batch → interleaved arm; narrow slice → sequential arm.
-        assert_eq!(
-            greedy_route_batch_on(o.placement(), &t, &queries, &opts),
-            looped
-        );
-        assert_eq!(
-            greedy_route_batch_on(o.placement(), &t, &queries[..3], &opts),
-            looped[..3]
-        );
     }
 }

@@ -220,15 +220,20 @@ proptest! {
         let dt = sw_overlay::RouteTable::build(d.topology().clone(), |v| p.key(v).get());
         assert_lanes_aligned(&dt, d.topology(), &p);
 
-        // And the chunked kernel agrees with the reference over the
-        // degraded rows (the bit-identity contract under degradation).
+        // And the interleaved kernel agrees with the reference over the
+        // degraded rows (the bit-identity contract under degradation),
+        // both one walk at a time and with a full pipeline.
         let opts = RouteOptions { max_hops: n as u32, record_path: true };
-        for _ in 0..16 {
-            let from = d.random_alive(&mut rng);
-            let target = p.key(d.random_alive(&mut rng));
-            let a = sw_overlay::greedy_route(&p, d.topology(), from, target, &opts);
-            let b = sw_overlay::greedy_route_on(&p, &dt, from, target, &opts);
-            prop_assert_eq!(a, b);
+        let queries: Vec<_> = (0..16)
+            .map(|_| (d.random_alive(&mut rng), p.key(d.random_alive(&mut rng))))
+            .collect();
+        let want: Vec<_> = queries
+            .iter()
+            .map(|&(from, target)| sw_overlay::greedy_route(&p, d.topology(), from, target, &opts))
+            .collect();
+        for width in [1, sw_overlay::DEFAULT_INTERLEAVE] {
+            let got = sw_overlay::route_interleaved(&p, &dt, &queries, &opts, width);
+            prop_assert_eq!(&got, &want);
         }
     }
 
