@@ -309,7 +309,8 @@ fn write_snapshot(rows: &[SimScaleRow]) {
                  \"wheel_events_per_sec\": {:.1}, \"heap_events_per_sec\": {:.1}, \
                  \"wheel_speedup\": {:.4}, \"build_secs\": {:.4}, \
                  \"open_secs\": {:.4}, \"peak_rss_bytes\": {}, \
-                 \"lookups\": {}, \"lookups_ok\": {}, \"unit\": \"wall_secs\"}}",
+                 \"lookups\": {}, \"lookups_ok\": {}, \"host_cores\": {}, \
+                 \"unit\": \"wall_secs\"}}",
                 r.id,
                 r.n,
                 r.variant,
@@ -323,6 +324,7 @@ fn write_snapshot(rows: &[SimScaleRow]) {
                 rss,
                 r.lookups,
                 r.lookups_ok,
+                par::default_parallelism(),
             );
             (r.id.clone(), obj)
         })

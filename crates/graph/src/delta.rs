@@ -40,10 +40,10 @@
 //! count is unchanged.
 
 use crate::digraph::NodeId;
+use crate::idmap::IdMap;
 use crate::par;
 use crate::store::TopologyStore;
 use crate::writer::ArenaWriter;
-use std::collections::HashMap;
 use std::io;
 
 /// One touched row: a full replacement, or add/remove logs against the
@@ -61,7 +61,9 @@ enum DeltaRow {
 #[derive(Debug)]
 pub struct DeltaStore {
     base: TopologyStore,
-    delta: HashMap<NodeId, DeltaRow>,
+    /// Touched rows by peer id (read on every simulated hop, hence the
+    /// id hasher).
+    delta: IdMap<NodeId, DeltaRow>,
     n: usize,
 }
 
@@ -71,7 +73,7 @@ impl DeltaStore {
         let n = base.len();
         DeltaStore {
             base,
-            delta: HashMap::new(),
+            delta: IdMap::default(),
             n,
         }
     }
@@ -178,9 +180,23 @@ impl DeltaStore {
     }
 
     /// Keeps only the targets of `u`'s row accepted by `keep`,
-    /// preserving order. Materializes the row into the delta if needed.
-    pub fn retain_row(&mut self, u: NodeId, keep: impl FnMut(&NodeId) -> bool) {
+    /// preserving order; `keep` sees each target once, in row order. An
+    /// untouched row stays in the base when `keep` accepts all of it, so
+    /// a prune that finds nothing to drop costs no delta entry;
+    /// otherwise the row is materialized into the delta.
+    pub fn retain_row(&mut self, u: NodeId, mut keep: impl FnMut(&NodeId) -> bool) {
         assert!((u as usize) < self.n, "peer outside the store");
+        if !self.delta.contains_key(&u) {
+            let base = self.base_row(u);
+            let Some(first) = base.iter().position(|v| !keep(v)) else {
+                return;
+            };
+            let mut row = Vec::with_capacity(base.len() - 1);
+            row.extend_from_slice(&base[..first]);
+            row.extend(base[first + 1..].iter().copied().filter(|v| keep(v)));
+            self.delta.insert(u, DeltaRow::Replaced(row));
+            return;
+        }
         let row = self.owned_row(u);
         row.retain(keep);
     }
@@ -391,6 +407,14 @@ mod tests {
         assert_eq!(store.row_slice(0).unwrap(), &[2, 1]);
         store.retain_row(4, |&v| v != 0 && v != 2);
         assert_eq!(store.row_slice(4).unwrap(), &[1, 3]);
+        // A prune that drops nothing leaves an untouched row in the base.
+        let mut seen = Vec::new();
+        store.retain_row(3, |&v| {
+            seen.push(v);
+            true
+        });
+        assert_eq!(seen, [0, 2], "each target is offered once, in order");
+        assert_eq!(store.delta_rows(), 2);
         let joined = store.push_node(vec![0, 4]);
         assert_eq!(joined, 5);
         assert_eq!(store.len(), 6);

@@ -41,6 +41,9 @@
 //!   peer-range shards concurrently), [`ArenaSection`] + [`writer::stitch`]
 //!   let independent processes each build a shard file and concatenate
 //!   them into one valid arena, byte-identical to a monolithic freeze.
+//! * [`idmap`] — [`IdMap`], a `HashMap` with a one-multiply hasher for
+//!   ids the program generates itself (peer, query and link ids); never
+//!   for keys from outside the process.
 //! * [`par`] — deterministic fork/join helpers over scoped std threads
 //!   (the workspace builds offline, so no `rayon`): parallel per-peer
 //!   construction and batched routing build on these.
@@ -66,6 +69,7 @@ pub mod components;
 pub mod csr;
 pub mod delta;
 pub mod digraph;
+pub mod idmap;
 pub mod kleinberg;
 pub mod metrics;
 pub mod par;
@@ -77,6 +81,7 @@ pub mod writer;
 pub use csr::{LinkTable, Topology};
 pub use delta::DeltaStore;
 pub use digraph::{DiGraph, NodeId};
+pub use idmap::IdMap;
 pub use metrics::GraphMetrics;
 pub use store::{TopologyArena, TopologyStore};
 pub use writer::{ArenaSection, ArenaWriter};

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use sw_core::config::{LinkSampler, MassThreshold, OutDegree};
 use sw_core::links::LinkSelector;
 use sw_dht::{item_bytes, ShardMap, KEY_BYTES};
-use sw_graph::{par, DeltaStore, LinkTable, Topology, TopologyStore};
+use sw_graph::{par, DeltaStore, IdMap, LinkTable, Topology, TopologyStore};
 use sw_keyspace::distribution::KeyDistribution;
 use sw_keyspace::stats::OnlineStats;
 use sw_keyspace::Topology as Metric;
@@ -238,10 +238,14 @@ struct RepairLease {
 /// A simulated peer. Routing state (`pred`, `succ`, and the long-link
 /// row in [`Simulator::links`]) is the node's *local view* and can go
 /// stale under churn; the simulator's `alive` index is ground truth.
+/// The peer's key and liveness live in the dense [`Simulator::keys`] and
+/// [`Simulator::live`] lanes.
+///
+/// Aligned to a 64-byte cache line, which the fields fit in: the `pred`
+/// and successor buffer a hop reads never straddle two lines.
 #[derive(Debug, Clone)]
+#[repr(align(64))]
 struct SimNode {
-    key: Key,
-    alive: bool,
     /// Clockwise successor list (nearest first).
     succ: Vec<u32>,
     /// Counter-clockwise neighbour.
@@ -317,6 +321,15 @@ pub struct Simulator {
     rng: Rng,
     plane: MessagePlane<Msg>,
     nodes: Vec<SimNode>,
+    /// Each peer's key, by node id: the one copy, in a dense lane apart
+    /// from [`SimNode`], because a greedy step reads the keys of ~20
+    /// contacts and a contact's key is then 8 bytes away from its
+    /// neighbours' instead of one node stride.
+    keys: Vec<Key>,
+    /// Whether each peer is alive, by node id: the one copy of the flag,
+    /// dense for the same reason as `keys` — a stabilize round checks
+    /// all ~20 of a peer's contacts, and a prune checks its long links.
+    live: Vec<bool>,
     /// Per-peer long-link rows over a pluggable base store: the delta
     /// overlay lets churn mutate rows while the converged bulk — a heap
     /// CSR, or a 10⁷-peer frozen arena preloaded straight from disk —
@@ -330,9 +343,9 @@ pub struct Simulator {
     alive_pos: Vec<usize>,
     metrics: SimMetrics,
     /// In-flight walks by query id.
-    walks: HashMap<QueryId, Walk>,
+    walks: IdMap<QueryId, Walk>,
     /// Storage ops in their post-routing phase.
-    ops: HashMap<QueryId, StorageOp>,
+    ops: IdMap<QueryId, StorageOp>,
     next_qid: QueryId,
     walk_seed: u64,
     // Dedicated generator streams (event-order deterministic).
@@ -357,7 +370,7 @@ pub struct Simulator {
     /// recovery payloads are not streamed — and byte-billed —
     /// `replication - 1` times over. Membership-only (never iterated):
     /// safe for determinism.
-    pending_wants: HashMap<u32, HashSet<Key>>,
+    pending_wants: IdMap<u32, HashSet<Key>>,
     /// Keys known to be stored (get targets).
     put_keys: Vec<Key>,
     put_counter: u64,
@@ -376,7 +389,7 @@ pub struct Simulator {
     /// Per-directed-link token buckets, allocated lazily for links that
     /// actually carry traffic. Keyed `(from << 32) | to`; accessed only
     /// by key (never iterated), so the map is determinism-safe.
-    link_buckets: HashMap<u64, TokenBucket>,
+    link_buckets: IdMap<u64, TokenBucket>,
     /// Per-message service time (`SimTime`-converted once at boot).
     service_time: SimTime,
     /// Open-loop generator stream (gateway, Zipf rank and inter-arrival
@@ -390,7 +403,7 @@ pub struct Simulator {
     zipf: Option<ZipfSampler>,
     /// Requester-side hot-key caches, one per gateway that has issued
     /// traffic (keyed access only — determinism-safe).
-    caches: HashMap<u32, HotCache>,
+    caches: IdMap<u32, HotCache>,
     // Network-message conservation ledger (see `net_counters`).
     net_offered: u64,
     net_dropped: u64,
@@ -433,12 +446,8 @@ impl Simulator {
         // over the placement equals sampling over the alive set.
         let n = sim.nodes.len();
         let budget = sim.cfg.out_degree.links_for(n);
-        let placement = Placement::from_keys(
-            sim.nodes.iter().map(|node| node.key).collect::<Vec<_>>(),
-            Metric::Ring,
-            "sim",
-        )
-        .expect("initial population keys are distinct");
+        let placement = Placement::from_keys(sim.keys.clone(), Metric::Ring, "sim")
+            .expect("initial population keys are distinct");
         let min_mass = MassThreshold::OneOverN.min_mass(n);
         let dist = Arc::clone(&sim.dist);
         let selector = LinkSelector::new(&placement, &*dist, min_mass, LinkSampler::Harmonic);
@@ -497,23 +506,36 @@ impl Simulator {
 
     /// [`Simulator::with_store`] from a frozen image on disk: peer keys
     /// come from the arena's per-node position lane.
+    ///
+    /// The file comes from outside the process, so it is opened with the
+    /// validating [`TopologyStore::open`] and its key lane is checked
+    /// before [`Simulator::with_store`] could panic on it.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` when the image is malformed, carries no key lane,
+    /// holds fewer than 8 peers, or has a key that is not finite or not
+    /// strictly above its predecessor; any I/O error reading the file.
     pub fn from_frozen(
         cfg: SimConfig,
         dist: Arc<dyn KeyDistribution>,
         path: impl AsRef<std::path::Path>,
     ) -> std::io::Result<Simulator> {
-        let store = TopologyStore::open_unvalidated(path)?;
-        let keys: Vec<Key> = store
+        let invalid = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+        let store = TopologyStore::open(path)?;
+        let pos = store
             .node_pos()
-            .ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "frozen image carries no per-node key lane",
-                )
-            })?
-            .iter()
-            .map(|&p| Key::clamped(p))
-            .collect();
+            .ok_or_else(|| invalid("frozen image carries no per-node key lane"))?;
+        if pos.len() < 8 {
+            return Err(invalid("simulator needs at least 8 peers"));
+        }
+        if !pos.iter().all(|p| p.is_finite()) {
+            return Err(invalid("key lane holds a non-finite key"));
+        }
+        let keys: Vec<Key> = pos.iter().map(|&p| Key::clamped(p)).collect();
+        if !keys.windows(2).all(|w| w[0] < w[1]) {
+            return Err(invalid("key lane is not strictly ascending"));
+        }
         Ok(Simulator::with_store(cfg, dist, keys, store))
     }
 
@@ -526,13 +548,15 @@ impl Simulator {
             rng: rng.fork(),
             plane: MessagePlane::with_backend(cfg.plane),
             nodes: Vec::new(),
+            keys: Vec::new(),
+            live: Vec::new(),
             links: DeltaStore::new(TopologyStore::heap(LinkTable::new(0).build())),
             alive: BTreeMap::new(),
             alive_ids: Vec::new(),
             alive_pos: Vec::new(),
             metrics: SimMetrics::default(),
-            walks: HashMap::new(),
-            ops: HashMap::new(),
+            walks: IdMap::default(),
+            ops: IdMap::default(),
             next_qid: 0,
             walk_seed: seed ^ stream::WALK_SALT,
             join_rng: Rng::stream(seed, stream::JOIN),
@@ -547,7 +571,7 @@ impl Simulator {
             primary: ShardMap::new(cfg.initial_n),
             replica: ShardMap::new(cfg.initial_n),
             copies: HashMap::new(),
-            pending_wants: HashMap::new(),
+            pending_wants: IdMap::default(),
             put_keys: Vec::new(),
             put_counter: 0,
             inflight_lookups: 0,
@@ -555,13 +579,13 @@ impl Simulator {
             walk_scratch: Vec::new(),
             cand_scratch: Vec::new(),
             node_q: Vec::new(),
-            link_buckets: HashMap::new(),
+            link_buckets: IdMap::default(),
             service_time: SimTime::from_secs_f64(cfg.congestion.service_secs_per_msg.max(0.0)),
             traffic_rng: Rng::stream(seed, stream::TRAFFIC),
             gateways: Vec::new(),
             traffic_targets: Vec::new(),
             zipf: None,
-            caches: HashMap::new(),
+            caches: IdMap::default(),
             net_offered: 0,
             net_dropped: 0,
             net_delivered: 0,
@@ -573,9 +597,9 @@ impl Simulator {
     /// Registers one t = 0 peer (alive, ring state repaired in `boot`).
     fn add_initial_node(&mut self, key: Key) {
         let id = self.nodes.len() as u32;
+        self.keys.push(key);
+        self.live.push(true);
         self.nodes.push(SimNode {
-            key,
-            alive: true,
             succ: Vec::new(),
             pred: None,
             refreshing: false,
@@ -600,8 +624,7 @@ impl Simulator {
         // before real digests establish per-arc leases.
         if sim.cfg.storage.enabled() && sim.cfg.storage.repair_interval.is_some() {
             let ttl = sim.lease_ttl();
-            for node in &mut sim.nodes {
-                let k = node.key;
+            for (node, &k) in sim.nodes.iter_mut().zip(&sim.keys) {
                 node.leases.push(RepairLease {
                     lo: k,
                     hi: k,
@@ -743,7 +766,7 @@ impl Simulator {
         let this = &*self;
         let queries: Vec<(u32, Key)> = pairs
             .iter()
-            .map(|&(from, target_id)| (from, this.nodes[target_id as usize].key))
+            .map(|&(from, target_id)| (from, this.keys[target_id as usize]))
             .collect();
         // Each worker drives its contiguous chunk through the AMAC
         // interleaved probe kernel; the scalar probe_walk stays as the
@@ -755,7 +778,7 @@ impl Simulator {
                 &queries[r.clone()],
                 max_hops,
                 sw_overlay::DEFAULT_INTERLEAVE,
-                |v| this.nodes[v as usize].key,
+                |v| this.keys[v as usize],
             );
             debug_assert!(
                 r.clone().zip(outcomes.iter()).all(|(i, o)| {
@@ -794,11 +817,11 @@ impl Simulator {
     pub fn topology_snapshot(&self) -> Topology {
         let mut lt = LinkTable::new(self.nodes.len());
         for (id, node) in self.nodes.iter().enumerate() {
-            if !node.alive {
+            if !self.live[id] {
                 continue;
             }
             let u = id as u32;
-            let alive = |v: &u32| self.nodes[*v as usize].alive;
+            let alive = |v: &u32| self.live[*v as usize];
             if let Some(p) = node.pred.as_ref().filter(|v| alive(v)) {
                 lt.add(u, *p);
             }
@@ -826,8 +849,8 @@ impl Simulator {
     /// lanes, none re-freezes its own copy.
     pub fn route_table_snapshot(&self) -> sw_overlay::RouteTable {
         let topo = self.topology_snapshot();
-        let nodes = &self.nodes;
-        sw_overlay::RouteTable::build(topo, |v| nodes[v as usize].key.get())
+        let keys = &self.keys;
+        sw_overlay::RouteTable::build(topo, |v| keys[v as usize].get())
     }
 
     // ----- event dispatch -------------------------------------------
@@ -1041,7 +1064,7 @@ impl Simulator {
     /// Conservation ledger: a delivered network message found its
     /// destination alive (serviced) or dead (discarded).
     fn note_net_delivery(&mut self, to: u32) {
-        if self.nodes[to as usize].alive {
+        if self.live[to as usize] {
             self.net_delivered += 1;
         } else {
             self.net_dead += 1;
@@ -1087,7 +1110,7 @@ impl Simulator {
             .expect("traffic enabled")
             .sample(&mut rng);
         self.traffic_rng = rng;
-        if !self.nodes[gw as usize].alive {
+        if !self.live[gw as usize] {
             return; // a dead gateway originates nothing this tick
         }
         let target_id = self.traffic_targets[rank];
@@ -1113,7 +1136,7 @@ impl Simulator {
                 return;
             }
         }
-        let target = self.nodes[target_id as usize].key;
+        let target = self.keys[target_id as usize];
         self.spawn_walk(Purpose::Lookup { target_id }, target, gw);
     }
 
@@ -1215,19 +1238,19 @@ impl Simulator {
     fn ranked_candidates(&mut self, at: u32, target: Key, excluded: &[u32]) -> Vec<u32> {
         let mut buf = std::mem::take(&mut self.cand_scratch);
         let node = &self.nodes[at as usize];
-        let cur_d = Metric::Ring.distance(node.key, target);
+        let keys = &self.keys;
+        let cur_d = Metric::Ring.distance(keys[at as usize], target);
         let view = sw_overlay::RingView {
             pred: node.pred,
             succ: &node.succ,
             long: self.long_links(at),
         };
-        let nodes = &self.nodes;
         view.candidates_into(
             Metric::Ring,
             target,
             cur_d,
             |v| v == at || excluded.contains(&v),
-            |v| nodes[v as usize].key,
+            |v| keys[v as usize],
             &mut buf,
         );
         let out = buf.iter().map(|&(v, _)| v).collect();
@@ -1243,19 +1266,18 @@ impl Simulator {
             return;
         };
         let cur = walk.cur;
-        if !self.nodes[cur as usize].alive {
+        if !self.live[cur as usize] {
             // The node holding the query failed. A semi-recursive walk
             // whose requester survives is *recovered* — the requester's
             // watchdog resumes it iteratively; otherwise it is stranded.
-            if walk.mode == RoutingMode::SemiRecursive && self.nodes[walk.requester as usize].alive
-            {
+            if walk.mode == RoutingMode::SemiRecursive && self.live[walk.requester as usize] {
                 self.recover_walk(qid);
             } else {
                 self.finish_walk(qid, WalkEnd::Stranded);
             }
             return;
         }
-        let cur_key = self.nodes[cur as usize].key;
+        let cur_key = self.keys[cur as usize];
         let cur_d = Metric::Ring.distance(cur_key, walk.target);
         if cur_d == 0.0 {
             self.finish_walk(qid, WalkEnd::Arrived);
@@ -1272,13 +1294,13 @@ impl Simulator {
             long: self.long_links(cur),
         };
         let excluded = &walk.excluded;
-        let nodes = &self.nodes;
+        let keys = &self.keys;
         let step = view.step(
             Metric::Ring,
             walk.target,
             cur_d,
             |v| v == cur || excluded.contains(&v),
-            |v| nodes[v as usize].key,
+            |v| keys[v as usize],
         );
         match step {
             None => self.finish_walk(qid, WalkEnd::LocalMinimum),
@@ -1299,7 +1321,9 @@ impl Simulator {
                         sent_at: now,
                     },
                 );
-                if let Some(wait) = wait {
+                // A zero wait (always, without queueing) cannot raise the
+                // walk's maximum: skip the second map probe on every hop.
+                if let Some(wait) = wait.filter(|&w| w > SimTime::ZERO) {
                     // The carrier hand-off measures the next node's
                     // inbound congestion; remember it in case this walk
                     // is later recovered into iterative mode.
@@ -1320,7 +1344,7 @@ impl Simulator {
         if !lost {
             self.note_net_delivery(to);
         }
-        let alive = !lost && self.nodes[to as usize].alive;
+        let alive = !lost && self.live[to as usize];
         let penalty = self.cfg.timeout_penalty;
         let latency = self.cfg.latency;
         let Some(walk) = self.walks.get_mut(&qid) else {
@@ -1380,7 +1404,7 @@ impl Simulator {
         let Some(walk) = self.walks.get_mut(&qid) else {
             return;
         };
-        if self.nodes[walk.requester as usize].alive {
+        if self.live[walk.requester as usize] {
             walk.last_known = at;
         }
     }
@@ -1395,7 +1419,7 @@ impl Simulator {
         let penalty = self.cfg.timeout_penalty;
         let alive_last = {
             let walk = self.walks.get(&qid).expect("recovering a live walk");
-            self.nodes[walk.last_known as usize].alive
+            self.live[walk.last_known as usize]
         };
         let walk = self.walks.get_mut(&qid).expect("recovering a live walk");
         let dead = walk.cur;
@@ -1440,12 +1464,12 @@ impl Simulator {
             debug_assert_eq!(walk.cur, walk.requester, "local step away from requester");
             (walk.requester, walk.target, walk.hops, walk.max_hops)
         };
-        if !self.nodes[requester as usize].alive {
+        if !self.live[requester as usize] {
             // Only the requester's death strands an iterative walk.
             self.finish_walk(qid, WalkEnd::Stranded);
             return;
         }
-        let cur_d = Metric::Ring.distance(self.nodes[requester as usize].key, target);
+        let cur_d = Metric::Ring.distance(self.keys[requester as usize], target);
         if cur_d == 0.0 {
             self.finish_walk(qid, WalkEnd::Arrived);
             return;
@@ -1483,7 +1507,7 @@ impl Simulator {
         let Some(walk) = self.walks.get_mut(&qid) else {
             return;
         };
-        if !self.nodes[walk.requester as usize].alive {
+        if !self.live[walk.requester as usize] {
             self.finish_walk(qid, WalkEnd::Stranded);
             return;
         }
@@ -1526,8 +1550,8 @@ impl Simulator {
             let walk = self.walks.get(&qid).expect("walk present");
             walk.target
         };
-        let nodes = &self.nodes;
-        let d_of = |v: u32| Metric::Ring.distance(nodes[v as usize].key, target);
+        let keys = &self.keys;
+        let d_of = |v: u32| Metric::Ring.distance(keys[v as usize], target);
         let walk = self.walks.get_mut(&qid).expect("walk present");
         let mut pool: Vec<(u32, f64)> = walk
             .pending_alternates()
@@ -1582,7 +1606,7 @@ impl Simulator {
         if !lost {
             self.note_net_delivery(to);
         }
-        let alive = !lost && self.nodes[to as usize].alive;
+        let alive = !lost && self.live[to as usize];
         let latency = self.cfg.latency;
         let Some(walk) = self.walks.get_mut(&qid) else {
             return;
@@ -1606,7 +1630,7 @@ impl Simulator {
         walk.latency += now - sent_at;
         let target = walk.target;
         let excluded = std::mem::take(&mut walk.excluded);
-        let at_target = Metric::Ring.distance(self.nodes[to as usize].key, target) == 0.0;
+        let at_target = Metric::Ring.distance(self.keys[to as usize], target) == 0.0;
         let candidates = self.ranked_candidates(to, target, &excluded);
         let walk = self.walks.get_mut(&qid).expect("walk present");
         walk.excluded = excluded;
@@ -1664,7 +1688,7 @@ impl Simulator {
         let Some(walk) = self.walks.get_mut(&qid) else {
             return;
         };
-        if !self.nodes[walk.requester as usize].alive {
+        if !self.live[walk.requester as usize] {
             self.finish_walk(qid, WalkEnd::Stranded);
             return;
         }
@@ -1740,8 +1764,7 @@ impl Simulator {
                 // apples-to-apples (iterative checks the requester at
                 // each reply; recursive modes settle up here, when the
                 // response would have been sent back).
-                let end = if end != WalkEnd::Stranded && !self.nodes[walk.requester as usize].alive
-                {
+                let end = if end != WalkEnd::Stranded && !self.live[walk.requester as usize] {
                     WalkEnd::Stranded
                 } else {
                     end
@@ -1817,11 +1840,11 @@ impl Simulator {
                     self.metrics.join_messages += msgs;
                 }
                 // A dead `node` ends the chain with it.
-                if self.nodes[node as usize].alive {
+                if self.live[node as usize] {
                     let v = walk.cur;
                     if end != WalkEnd::Stranded
                         && v != node
-                        && self.nodes[v as usize].alive
+                        && self.live[v as usize]
                         && !collected.contains(&v)
                     {
                         collected.push(v);
@@ -1866,7 +1889,7 @@ impl Simulator {
         };
         self.lookup_rng = rng;
         if let Some((from, target_id)) = pair {
-            let target = self.nodes[target_id as usize].key;
+            let target = self.keys[target_id as usize];
             self.spawn_walk(Purpose::Lookup { target_id }, target, from);
         }
     }
@@ -1892,9 +1915,9 @@ impl Simulator {
     /// its shard slice over, and start its long-link probe chain.
     fn complete_join(&mut self, key: Key) {
         let id = self.nodes.len() as u32;
+        self.keys.push(key);
+        self.live.push(true);
         self.nodes.push(SimNode {
-            key,
-            alive: true,
             succ: Vec::new(),
             pred: None,
             refreshing: false,
@@ -1923,7 +1946,7 @@ impl Simulator {
                 self.nodes[id as usize].succ.first(),
                 self.nodes[id as usize].pred,
             ) {
-                let pred_key = self.nodes[p as usize].key;
+                let pred_key = self.keys[p as usize];
                 self.primary.split_to(succ0, id, pred_key, key);
             }
             // Same grace lease the t=0 population gets: replica copies
@@ -1959,7 +1982,7 @@ impl Simulator {
         let Some(victim) = victim else {
             return;
         };
-        let key = self.nodes[victim as usize].key;
+        let key = self.keys[victim as usize];
         self.alive.remove(&key);
         let pos = self.alive_pos[victim as usize];
         self.alive_ids.swap_remove(pos);
@@ -1967,7 +1990,7 @@ impl Simulator {
             self.alive_pos[self.alive_ids[pos] as usize] = pos;
         }
         self.alive_pos[victim as usize] = usize::MAX;
-        self.nodes[victim as usize].alive = false;
+        self.live[victim as usize] = false;
         if self.cfg.storage.enabled() {
             // The machine is gone: both its shards die with it. Its
             // slice of the key space is durable again only once a
@@ -2006,21 +2029,27 @@ impl Simulator {
     /// penalty to be noticed). Lookups in flight during the round still
     /// see the stale view — the repair is not instantaneous.
     fn do_stabilize_start(&mut self, id: u32) {
-        if !self.nodes[id as usize].alive {
+        if !self.live[id as usize] {
             return; // timer dies with the node
         }
+        // The view is read field by field (not through `long_links`) so
+        // the ping loop can draw from `timer_rng` without first copying
+        // the contacts out: a round allocates nothing.
+        let live = &self.live;
         let node = &self.nodes[id as usize];
-        let contacts: Vec<u32> = sw_overlay::RingView {
+        let view = sw_overlay::RingView {
             pred: node.pred,
             succ: &node.succ,
-            long: self.long_links(id),
-        }
-        .contacts()
-        .collect();
-        self.metrics.stabilize_messages += contacts.len() as u64;
+            long: self
+                .links
+                .row_slice(id)
+                .expect("simulator rows are whole-row writes, always slice-backed"),
+        };
+        let mut pings = 0u64;
         let mut resolve = SimTime::ZERO;
-        for v in contacts {
-            let rtt = if self.nodes[v as usize].alive {
+        for v in view.contacts() {
+            pings += 1;
+            let rtt = if live[v as usize] {
                 let s = self.cfg.latency.sample(&mut self.timer_rng);
                 SimTime(s.0 * 2)
             } else {
@@ -2028,27 +2057,28 @@ impl Simulator {
             };
             resolve = resolve.max(rtt);
         }
+        self.metrics.stabilize_messages += pings;
         self.plane.send(resolve, Msg::StabilizeApply(id));
         let interval = self.cfg.stabilize_interval.expect("timer scheduled");
         self.plane.send(interval, Msg::StabilizeStart(id));
     }
 
     fn do_stabilize_apply(&mut self, id: u32) {
-        if !self.nodes[id as usize].alive {
+        if !self.live[id as usize] {
             return;
         }
         self.repair_ring_state(id);
         // Prune dead long links in place (the delta row retains without
         // a replacement allocation).
-        let nodes = &self.nodes;
-        self.links.retain_row(id, |&v| nodes[v as usize].alive);
+        let live = &self.live;
+        self.links.retain_row(id, |&v| live[v as usize]);
     }
 
     /// Long-link refresh: a chain of *routed* probes rebuilding the
     /// node's long links against the current population. The old links
     /// stay in service until the chain completes.
     fn do_refresh_start(&mut self, id: u32) {
-        if !self.nodes[id as usize].alive {
+        if !self.live[id as usize] {
             return;
         }
         let interval = self.cfg.refresh_interval.expect("timer scheduled");
@@ -2084,7 +2114,7 @@ impl Simulator {
         }
         // Target draws come from the dedicated link stream — chains are
         // spawned in event order, so the draws are deterministic.
-        let pos = self.dist.cdf(self.nodes[node as usize].key.get());
+        let pos = self.dist.cdf(self.keys[node as usize].get());
         let sign = if self.link_rng.chance(0.5) { 1.0 } else { -1.0 };
         let m = tau * (side_weight * self.link_rng.f64()).exp();
         let target_pos = (pos + sign * m).rem_euclid(1.0);
@@ -2103,7 +2133,7 @@ impl Simulator {
     }
 
     fn finish_links(&mut self, node: u32, collected: Vec<u32>, refresh: bool) {
-        if self.nodes[node as usize].alive {
+        if self.live[node as usize] {
             self.links.set_row(node, collected);
         }
         if refresh {
@@ -2159,7 +2189,7 @@ impl Simulator {
     /// repair plane. Do not call this from any handler that runs after
     /// time zero.
     fn ground_replica_chain(&self, owner: u32, count: usize) -> Vec<u32> {
-        let key = self.nodes[owner as usize].key;
+        let key = self.keys[owner as usize];
         let mut chain = Vec::with_capacity(count);
         for (_, &v) in self
             .alive
@@ -2217,11 +2247,11 @@ impl Simulator {
     /// one extra forwarding message at most, charged to the op (exactly
     /// the adjustment `sw_dht::Dht::route_to_owner` makes statically).
     fn shift_to_owner(&mut self, at: u32, key: Key) -> u32 {
-        if self.nodes[at as usize].key >= key {
+        if self.keys[at as usize] >= key {
             return at;
         }
         match self.nodes[at as usize].succ.first() {
-            Some(&s) if self.nodes[s as usize].alive => {
+            Some(&s) if self.live[s as usize] => {
                 self.metrics.storage_messages += 1;
                 s
             }
@@ -2301,7 +2331,7 @@ impl Simulator {
         if !lost {
             self.note_net_delivery(to);
         }
-        let alive = !lost && self.nodes[to as usize].alive;
+        let alive = !lost && self.live[to as usize];
         let Some(StorageOp::PutFanout {
             key,
             value,
@@ -2412,7 +2442,7 @@ impl Simulator {
         if !lost {
             self.note_net_delivery(to);
         }
-        let alive = !lost && self.nodes[to as usize].alive;
+        let alive = !lost && self.live[to as usize];
         let penalty = self.cfg.timeout_penalty;
         let latency_model = self.cfg.latency;
         let Some(StorageOp::GetFallback {
@@ -2444,7 +2474,7 @@ impl Simulator {
             // just served — stream that one item to it immediately (an
             // owner-direction repair transfer, byte-accounted like any
             // anti-entropy rung) instead of waiting for the next round.
-            if owner != to && self.nodes[owner as usize].alive {
+            if owner != to && self.live[owner as usize] {
                 let item = self
                     .replica
                     .get(to, key)
@@ -2537,7 +2567,7 @@ impl Simulator {
             _ => return,
         };
         let served = self.primary.shard_range_count(at, lo, hi) as u64;
-        let at_key = self.nodes[at as usize].key;
+        let at_key = self.keys[at as usize];
         let next_peer = self.nodes[at as usize].succ.first().copied();
         let now = self.plane.now();
         let latency_model = self.cfg.latency;
@@ -2616,7 +2646,7 @@ impl Simulator {
         if !lost {
             self.note_net_delivery(to);
         }
-        if !lost && self.nodes[to as usize].alive {
+        if !lost && self.live[to as usize] {
             self.continue_sweep(op, to);
             return;
         }
@@ -2714,18 +2744,18 @@ impl Simulator {
         let Some(interval) = self.cfg.storage.repair_interval else {
             return;
         };
-        if !self.nodes[id as usize].alive {
+        if !self.live[id as usize] {
             return; // timer dies with the node
         }
         self.plane.send(interval, Msg::RepairRound(id));
         // A fresh round re-requests anything still missing; pulls lost
         // to a dead replica stop blocking here.
         self.pending_wants.remove(&id);
-        let key = self.nodes[id as usize].key;
+        let key = self.keys[id as usize];
         let Some(pred) = self.nodes[id as usize].pred else {
             return;
         };
-        let pred_key = self.nodes[pred as usize].key;
+        let pred_key = self.keys[pred as usize];
         let now = self.plane.now();
         self.promote_owned(id, pred_key, key);
         self.gc_replica_leases(id, now);
@@ -2734,14 +2764,12 @@ impl Simulator {
         if replicas == 0 {
             return;
         }
-        let chain: Vec<u32> = self.nodes[id as usize]
-            .succ
-            .iter()
-            .copied()
-            .take(replicas)
-            .collect();
         let digest = self.primary.arc_digest(id, pred_key, key);
-        for to in chain {
+        // The chain is read by index, not copied out: rounds run every
+        // repair interval at every peer, so a copy is an allocation per
+        // round. Sending does not touch the successor view.
+        for i in 0..replicas.min(self.nodes[id as usize].succ.len()) {
+            let to = self.nodes[id as usize].succ[i];
             self.send_repair(
                 id,
                 to,
@@ -2826,7 +2854,7 @@ impl Simulator {
     /// if they disagree.
     fn on_repair_digest(&mut self, owner: u32, to: u32, lo: Key, hi: Key, count: u64, hash: u64) {
         self.note_net_delivery(to);
-        if !self.nodes[to as usize].alive {
+        if !self.live[to as usize] {
             return; // receiver died in flight: message lost
         }
         let now = self.plane.now();
@@ -2868,7 +2896,7 @@ impl Simulator {
     /// lacks (want, the recovery direction) — and ship them.
     fn on_repair_diff(&mut self, owner: u32, replica: u32, lo: Key, hi: Key, keys: Vec<Key>) {
         self.note_net_delivery(owner);
-        if !self.nodes[owner as usize].alive {
+        if !self.live[owner as usize] {
             return;
         }
         let missing = self.primary.arc_diff(owner, lo, hi, &keys);
@@ -2910,7 +2938,7 @@ impl Simulator {
         want: Vec<Key>,
     ) {
         self.note_net_delivery(replica);
-        if !self.nodes[replica as usize].alive {
+        if !self.live[replica as usize] {
             return;
         }
         for (k, v) in items {
@@ -2946,7 +2974,7 @@ impl Simulator {
     /// finally durable under their new primary.
     fn on_repair_pull(&mut self, owner: u32, items: Vec<(Key, Vec<u8>)>) {
         self.note_net_delivery(owner);
-        if !self.nodes[owner as usize].alive {
+        if !self.live[owner as usize] {
             return;
         }
         for (k, v) in items {
@@ -3142,10 +3170,15 @@ impl Simulator {
 
     /// Rebuilds `id`'s ring state from ground truth (used for the initial
     /// converged network and by stabilization).
+    ///
+    /// The successor list is rebuilt in the node's own buffer, so a
+    /// stabilize apply allocates nothing once the list has its length.
     fn repair_ring_state(&mut self, id: u32) {
-        let key = self.nodes[id as usize].key;
+        let key = self.keys[id as usize];
         let s = self.cfg.successor_list.max(1);
-        let mut succ = Vec::with_capacity(s);
+        let mut succ = std::mem::take(&mut self.nodes[id as usize].succ);
+        succ.clear();
+        succ.reserve_exact(s);
         for (_, &v) in self
             .alive
             .range((std::ops::Bound::Excluded(key), std::ops::Bound::Unbounded))
@@ -3186,7 +3219,7 @@ impl Simulator {
         let mut hops = 0u32;
         let max_hops = 64 + 8 * (self.alive.len().max(2) as f64).log2().ceil() as u32;
         loop {
-            let cur_d = Metric::Ring.distance(self.nodes[cur as usize].key, target);
+            let cur_d = Metric::Ring.distance(self.keys[cur as usize], target);
             if cur_d == 0.0 {
                 break;
             }
@@ -3224,6 +3257,12 @@ fn next_interval(rng: &mut Rng, rate: f64) -> SimTime {
 mod tests {
     use super::*;
     use sw_keyspace::distribution::{TruncatedPareto, Uniform};
+
+    #[test]
+    fn sim_node_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<SimNode>(), 64);
+        assert_eq!(std::mem::align_of::<SimNode>(), 64);
+    }
 
     fn quiet_config(seed: u64, n: usize) -> SimConfig {
         SimConfig {
@@ -3370,7 +3409,7 @@ mod tests {
             let (ids, pos) = table.row(u);
             assert_eq!(ids, topo.neighbors(u));
             for (&v, &p) in ids.iter().zip(pos) {
-                assert_eq!(p.to_bits(), sim.nodes[v as usize].key.get().to_bits());
+                assert_eq!(p.to_bits(), sim.keys[v as usize].get().to_bits());
             }
         }
     }
@@ -3385,8 +3424,8 @@ mod tests {
         sim.run_until(SimTime::from_secs(60));
         let topo = sim.topology_snapshot();
         assert_eq!(topo.len(), sim.nodes.len());
-        for (id, node) in sim.nodes.iter().enumerate() {
-            if node.alive {
+        for id in 0..sim.nodes.len() {
+            if sim.live[id] {
                 assert!(
                     topo.out_degree(id as u32) >= 1,
                     "alive peer {id} has no live contacts"
@@ -3395,7 +3434,7 @@ mod tests {
                 assert_eq!(topo.out_degree(id as u32), 0, "dead peer {id} has edges");
             }
             for &v in topo.neighbors(id as u32) {
-                assert!(sim.nodes[v as usize].alive, "edge to dead peer");
+                assert!(sim.live[v as usize], "edge to dead peer");
             }
         }
     }
@@ -3536,10 +3575,11 @@ mod tests {
             let mut sim = Simulator::new(cfg, Arc::new(TruncatedPareto::new(1.5, 0.01).unwrap()));
             sim.run_until(SimTime::from_secs(60));
             let dead: Vec<f64> = sim
-                .nodes
+                .live
                 .iter()
-                .filter(|n| !n.alive)
-                .map(|n| n.key.get())
+                .zip(&sim.keys)
+                .filter(|(&live, _)| !live)
+                .map(|(_, k)| k.get())
                 .collect();
             assert!(dead.len() > 100, "failures {}", dead.len());
             dead.iter().sum::<f64>() / dead.len() as f64
@@ -3628,8 +3668,8 @@ mod tests {
             "every missing key must be accounted as lost"
         );
         assert!(census.keys < initial_keys, "rows must actually drain");
-        for (id, node) in sim.nodes.iter().enumerate() {
-            if !node.alive {
+        for id in 0..sim.nodes.len() {
+            if !sim.live[id] {
                 assert_eq!(
                     sim.primary_store().shard_len(id as u32)
                         + sim.replica_store().shard_len(id as u32),
@@ -4299,5 +4339,56 @@ mod tests {
         let arena = digest(Simulator::from_frozen(cfg_for(4), Arc::new(Uniform), &path).unwrap());
         std::fs::remove_file(&path).ok();
         assert_eq!(heap, arena, "storage backends diverged");
+    }
+
+    /// `from_frozen` reads a file from outside the process: a malformed
+    /// image or key lane is an `InvalidData` error, never a panic.
+    #[test]
+    fn from_frozen_rejects_malformed_images() {
+        let ring = |n: usize| {
+            let mut lt = LinkTable::new(n);
+            for u in 0..n as u32 {
+                lt.add_all(u, [(u + 1) % n as u32, (u + 3) % n as u32]);
+            }
+            TopologyStore::heap(lt.build())
+        };
+        let ascending =
+            |n: usize| -> Vec<f64> { (0..n).map(|i| (i as f64 + 0.5) / n as f64).collect() };
+        let path =
+            std::env::temp_dir().join(format!("sw-sim-from-frozen-{}.arena", std::process::id()));
+        let open = |path: &std::path::Path| {
+            Simulator::from_frozen(quiet_config(5, 8), Arc::new(Uniform), path).map(|_| ())
+        };
+        let kind = |r: std::io::Result<()>| r.expect_err("malformed image accepted").kind();
+
+        // A well-formed image opens.
+        ring(16).freeze_to(&path, Some(&ascending(16))).unwrap();
+        open(&path).unwrap();
+
+        // Truncated image: the validating open refuses it.
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 8]).unwrap();
+        assert_eq!(kind(open(&path)), std::io::ErrorKind::InvalidData);
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        assert_eq!(kind(open(&path)), std::io::ErrorKind::InvalidData);
+
+        // Key lane out of order, with a repeated key, or non-finite.
+        let mut swapped = ascending(16);
+        swapped.swap(3, 4);
+        let mut repeated = ascending(16);
+        repeated[9] = repeated[8];
+        let mut nan = ascending(16);
+        nan[5] = f64::NAN;
+        for lane in [swapped, repeated, nan] {
+            ring(16).freeze_to(&path, Some(&lane)).unwrap();
+            assert_eq!(kind(open(&path)), std::io::ErrorKind::InvalidData);
+        }
+
+        // Too few peers, and no key lane at all.
+        ring(5).freeze_to(&path, Some(&ascending(5))).unwrap();
+        assert_eq!(kind(open(&path)), std::io::ErrorKind::InvalidData);
+        ring(16).freeze_to(&path, None).unwrap();
+        assert_eq!(kind(open(&path)), std::io::ErrorKind::InvalidData);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -132,6 +132,43 @@
 //! [`sw_overlay::greedy_step`] / [`sw_overlay::greedy_candidates`]
 //! implementation, through [`sw_overlay::RingView`].
 //!
+//! ## Hot-path data layout
+//!
+//! Under churn most plane events are `Hop` deliveries, and at 10⁵
+//! peers and more each hop is a chain of cache misses, not arithmetic.
+//! The serial engine lays its state out so a hop touches as few lines
+//! as it can:
+//!
+//! * **Id-keyed maps use [`sw_graph::IdMap`]** — a one-multiply hasher
+//!   in place of SipHash — for everything keyed by ids the engine hands
+//!   out itself: in-flight walks and storage ops (query ids), hot caches
+//!   and pending recovery wants (node ids), token buckets (packed link
+//!   ids), and the long-link delta rows of [`sw_graph::DeltaStore`]. A
+//!   hop probes the walk map several times and the delta once. Maps
+//!   keyed by [`sw_keyspace::Key`] keep the default hasher: keys come
+//!   from the workload, not from the engine.
+//! * **Keys live in one dense lane** (`keys[id]`, 8 bytes a peer), the
+//!   only copy of each key. A greedy step reads the keys of its ~20
+//!   contacts; through the lane they come from a 0.8 MB array at 10⁵
+//!   peers instead of one node stride apart. The candidate ladder and
+//!   the pool merge of iterative walks read the same lane.
+//! * **Liveness is a dense lane too** (`live[id]`), the only copy of the
+//!   flag: a stabilize round checks all of a peer's contacts and its
+//!   prune checks every long link, one byte each instead of one node
+//!   record each.
+//! * **A node is one cache line**: `pred` and the successor buffer a hop
+//!   reads sit in one 64-byte-aligned record.
+//! * **Untouched long-link rows stay in the base store.** A stabilize
+//!   prune that drops nothing leaves the row in the frozen base, so the
+//!   delta only holds rows churn or refresh actually rewrote.
+//! * **The plane reuses its slot buffers** (see [`plane`]), and
+//!   stabilize rounds reuse the node's successor buffer and iterate its
+//!   view in place: no per-event allocation on the maintenance path.
+//!
+//! None of this changes what is computed: simulated output is
+//! bit-identical to the layout before it, which the golden fingerprints
+//! in `tests/golden.rs` pin.
+//!
 //! ## Queueing and congestion
 //!
 //! With [`CongestionConfig`] enabled, delivery time is no longer just a

@@ -56,6 +56,22 @@
 //! [`MessagePlane::advance_to`]) go straight into `ready`, which always
 //! wins ties against the wheel — so the merged stream is exactly the
 //! heap's `(at, seq)` order in every case.
+//!
+//! ## Slot buffers are recycled, small ones only
+//!
+//! Every slot is a `Vec` of envelopes. Harvesting or cascading a slot
+//! empties it, and most slots fill again within microseconds of virtual
+//! time: at 10⁵ peers nearly every level-0 push would otherwise start a
+//! fresh allocation. The wheel therefore keeps emptied buffers in a
+//! spare pool (at most one per slot) and hands one to the next push
+//! into an empty slot. Only buffers of at most `SPARE_CAP` (64)
+//! envelopes are kept. A high-level slot that gathered a whole stabilize
+//! or repair round can hold 10⁴–10⁵ envelopes; keeping those would pin
+//! every burst's peak for the rest of the run. In the 10⁵-peer churn +
+//! storage world, keeping every buffer raised the process's peak RSS
+//! from 163 to 429 MB and bought no speed, so large buffers are freed
+//! on cascade as before. Recycling changes which allocation holds an
+//! envelope, never the order envelopes leave in.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -130,6 +146,13 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// that go to the overflow list and rebase when the cursor catches up.
 pub const WHEEL_LEVELS: usize = 7;
 
+/// Largest slot buffer capacity, in envelopes, that the wheel keeps for
+/// reuse once the slot is emptied. Bursts (a stabilize round's fan-out,
+/// a cascaded high-level slot) can grow a buffer to thousands of
+/// envelopes; keeping those would pin the burst's peak memory for the
+/// rest of the run, so they are freed instead.
+const SPARE_CAP: usize = 64;
+
 /// One wheel level: 64 slots plus an occupancy bitmask so the cursor
 /// finds the next non-empty slot with a single `trailing_zeros`.
 #[derive(Debug)]
@@ -192,6 +215,9 @@ struct Wheel<M> {
     overflow: Vec<Envelope<M>>,
     /// Minimum delivery time in `overflow` (`u64::MAX` when empty).
     overflow_min: u64,
+    /// Emptied slot buffers (cleared, capacity ≤ [`SPARE_CAP`]) that
+    /// the next push into an empty slot takes instead of allocating.
+    spare: Vec<Vec<Envelope<M>>>,
 }
 
 impl<M> Wheel<M> {
@@ -202,7 +228,27 @@ impl<M> Wheel<M> {
             ready: BinaryHeap::new(),
             overflow: Vec::new(),
             overflow_min: u64::MAX,
+            spare: Vec::new(),
         }
+    }
+
+    /// Returns an emptied slot buffer to the spare pool, unless it grew
+    /// past [`SPARE_CAP`] (freed) or never allocated. The pool holds at
+    /// most one buffer per slot, which is all the slots can draw.
+    fn recycle(&mut self, buf: Vec<Envelope<M>>) {
+        debug_assert!(buf.is_empty(), "recycled buffers are drained");
+        if (1..=SPARE_CAP).contains(&buf.capacity()) && self.spare.len() < SLOTS * WHEEL_LEVELS {
+            self.spare.push(buf);
+        }
+    }
+
+    /// Opens a higher-level (or overflow) batch: re-files each envelope
+    /// relative to the advanced cursor, then recycles the buffer.
+    fn refile(&mut self, mut buf: Vec<Envelope<M>>) {
+        for env in buf.drain(..) {
+            self.push(env);
+        }
+        self.recycle(buf);
     }
 
     /// Files an envelope (already clamped to `at >= clock`).
@@ -227,8 +273,15 @@ impl<M> Wheel<M> {
             return;
         }
         let slot = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.levels[level].slots[slot].push(env);
-        self.levels[level].occupied |= 1u64 << slot;
+        let lv = &mut self.levels[level];
+        let buf = &mut lv.slots[slot];
+        if buf.capacity() == 0 {
+            if let Some(spare) = self.spare.pop() {
+                *buf = spare;
+            }
+        }
+        buf.push(env);
+        lv.occupied |= 1u64 << slot;
     }
 
     /// The cursor's next stop. Levels are scanned lowest-first: level-0
@@ -283,7 +336,8 @@ impl<M> Wheel<M> {
                     // batches) also repairs the interleavings overflow
                     // rebasing can produce.
                     batch.sort_unstable_by_key(|e| e.seq);
-                    self.ready.extend(batch.into_iter().map(Reverse));
+                    self.ready.extend(batch.drain(..).map(Reverse));
+                    self.recycle(batch);
                 }
                 Front::Range { level, slot, start } => {
                     if ready_due(start) {
@@ -296,9 +350,8 @@ impl<M> Wheel<M> {
                     // re-file its envelopes, which all land at lower
                     // levels (their times now share this slot path).
                     self.elapsed = start;
-                    for env in self.levels[level].take(slot) {
-                        self.push(env);
-                    }
+                    let buf = self.levels[level].take(slot);
+                    self.refile(buf);
                 }
                 Front::Overflow => {
                     if ready_due(self.overflow_min) {
@@ -312,9 +365,8 @@ impl<M> Wheel<M> {
                     // re-files relative to it.
                     self.elapsed = self.overflow_min;
                     self.overflow_min = u64::MAX;
-                    for env in std::mem::take(&mut self.overflow) {
-                        self.push(env);
-                    }
+                    let buf = std::mem::take(&mut self.overflow);
+                    self.refile(buf);
                 }
                 Front::Empty => {
                     ready_at?;
@@ -373,9 +425,8 @@ impl<M> Wheel<M> {
                         return ready_at.map(SimTime);
                     }
                     self.elapsed = start;
-                    for env in self.levels[level].take(slot) {
-                        self.push(env);
-                    }
+                    let buf = self.levels[level].take(slot);
+                    self.refile(buf);
                 }
                 Front::Overflow => {
                     if ready_due(self.overflow_min) {
@@ -383,9 +434,8 @@ impl<M> Wheel<M> {
                     }
                     self.elapsed = self.overflow_min;
                     self.overflow_min = u64::MAX;
-                    for env in std::mem::take(&mut self.overflow) {
-                        self.push(env);
-                    }
+                    let buf = std::mem::take(&mut self.overflow);
+                    self.refile(buf);
                 }
                 Front::Empty => return ready_at.map(SimTime),
             }
